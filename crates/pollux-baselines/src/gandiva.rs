@@ -15,8 +15,7 @@
 //! fullest-first spread; affinity (keeping an exact-count placement)
 //! is preserved like the default stage to avoid gratuitous restarts.
 
-use pollux_cluster::AllocationMatrix;
-use pollux_control::{keep_placement, pack_consolidated};
+use pollux_control::{keep_placement, pack_consolidated, RowSink};
 use pollux_simulator::{Admitted, PlacementPolicy, PolicyJobView, PreemptAll, StagedScheduler};
 use rand::rngs::StdRng;
 
@@ -40,7 +39,7 @@ impl PlacementPolicy for BestFitPacking {
         jobs: &[PolicyJobView<'_>],
         admitted: &[Admitted],
         free: &mut [u32],
-        matrix: &mut AllocationMatrix,
+        sink: &mut RowSink,
         _rng: &mut StdRng,
     ) {
         // Keep exact-count placements first, like the default stage.
@@ -51,9 +50,7 @@ impl PlacementPolicy for BestFitPacking {
             };
             let current: u32 = view.current_placement.iter().sum();
             if a.gpus > 0 && current == a.gpus && keep_placement(view.current_placement, free) {
-                for (n, &g) in view.current_placement.iter().enumerate() {
-                    matrix.set(a.row, n, g);
-                }
+                sink.keep(a.row);
             } else if a.gpus > 0 {
                 needs_placing.push(a);
             }
@@ -72,12 +69,12 @@ impl PlacementPolicy for BestFitPacking {
                     let mut row = vec![0u32; free.len()];
                     row[n] = a.gpus;
                     free[n] -= a.gpus;
-                    matrix.set_row(a.row, row);
+                    sink.set(a.row, row);
                 }
                 None => {
                     // Wider than any node: consolidated spread.
                     if let Some(row) = pack_consolidated(a.gpus, free) {
-                        matrix.set_row(a.row, row);
+                        sink.set(a.row, row);
                     }
                 }
             }
@@ -131,9 +128,10 @@ mod tests {
         let idle = vec![0u32, 0, 0];
         let views = [view(0, 2, 0.0, &idle)];
         let admitted = [Admitted { row: 0, gpus: 2 }];
-        let mut matrix = AllocationMatrix::zeros(1, spec.num_nodes());
+        let mut sink = RowSink::new();
         let mut rng = StdRng::seed_from_u64(0);
-        BestFitPacking.place(0.0, &views, &admitted, &mut free, &mut matrix, &mut rng);
+        BestFitPacking.place(0.0, &views, &admitted, &mut free, &mut sink, &mut rng);
+        let matrix = sink.into_matrix(&views, spec.num_nodes());
         // Node 1 (2 free) is the tightest fit — NOT the fullest (node 0).
         assert_eq!(matrix.row(0), &[0, 2, 0]);
         assert_eq!(free, vec![4, 0, 3]);
@@ -149,9 +147,10 @@ mod tests {
         let idle = vec![0u32, 0];
         let views = [view(0, 1, 0.0, &idle), view(1, 4, 1.0, &idle)];
         let admitted = [Admitted { row: 0, gpus: 1 }, Admitted { row: 1, gpus: 4 }];
-        let mut matrix = AllocationMatrix::zeros(2, spec.num_nodes());
+        let mut sink = RowSink::new();
         let mut rng = StdRng::seed_from_u64(0);
-        BestFitPacking.place(0.0, &views, &admitted, &mut free, &mut matrix, &mut rng);
+        BestFitPacking.place(0.0, &views, &admitted, &mut free, &mut sink, &mut rng);
+        let matrix = sink.into_matrix(&views, spec.num_nodes());
         assert_eq!(matrix.row(0), &[1, 0]);
         assert_eq!(matrix.row(1), &[0, 4], "whole node preserved for the gang");
     }
@@ -163,9 +162,10 @@ mod tests {
         let idle = vec![0u32, 0];
         let views = [view(0, 6, 0.0, &idle)];
         let admitted = [Admitted { row: 0, gpus: 6 }];
-        let mut matrix = AllocationMatrix::zeros(1, spec.num_nodes());
+        let mut sink = RowSink::new();
         let mut rng = StdRng::seed_from_u64(0);
-        BestFitPacking.place(0.0, &views, &admitted, &mut free, &mut matrix, &mut rng);
+        BestFitPacking.place(0.0, &views, &admitted, &mut free, &mut sink, &mut rng);
+        let matrix = sink.into_matrix(&views, spec.num_nodes());
         assert_eq!(matrix.gpus_of(0), 6);
         assert_eq!(matrix.nodes_of(0), 2);
     }

@@ -39,5 +39,5 @@ pub use round::{Reallocation, RoundError, RoundOutcome, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
 pub use stages::{
     keep_placement, pack_consolidated, AdmissionPolicy, Admitted, ConsolidatedPlacement,
-    NoPreemption, PlacementPolicy, PreemptAll, PreemptionPolicy, StagedScheduler,
+    NoPreemption, PlacementPolicy, PreemptAll, PreemptionPolicy, RowSink, StagedScheduler,
 };

@@ -55,9 +55,11 @@ pub struct PolicyJobView<'a> {
 }
 
 impl PolicyJobView<'_> {
-    /// True when the job currently holds GPUs.
+    /// True when the job currently holds GPUs. An OR-fold rather than
+    /// an early-exit `any`: it vectorizes, and staged rounds call it
+    /// for every job over cluster-wide rows that are mostly zero.
     pub fn is_running(&self) -> bool {
-        self.current_placement.iter().any(|&g| g > 0)
+        self.current_placement.iter().fold(0, |acc, &g| acc | g) != 0
     }
 }
 

@@ -24,17 +24,30 @@
 //! schedule(now, jobs, spec, rng):
 //!   1. victims = preemption.yield_rows(...)        (running rows only)
 //!   2. running jobs NOT in victims are *held*: their current
-//!      placement is copied into the matrix verbatim and deducted
+//!      placement is kept verbatim in the round's sink and deducted
 //!      from free capacity (a held job whose placement no longer fits
 //!      a shrunken cluster is implicitly preempted this round)
 //!   3. admitted = admission.admit(..., held, free) (ordered rows+GPUs;
 //!      held rows must not appear)
-//!   4. placement.place(..., admitted, free, matrix)
+//!   4. placement.place(..., admitted, free, sink)
 //! ```
+//!
+//! Held and placed rows land in a [`RowSink`], not a dense matrix.
+//! [`SchedulingPolicy::schedule`] materializes the sink as a
+//! `jobs × nodes` [`AllocationMatrix`] for callers that want one;
+//! [`SchedulingPolicy::schedule_sparse`] diffs it against the current
+//! placements and returns only the changed rows, ascending, so a
+//! round costs O(jobs + admitted · nodes) instead of a zeroed
+//! `jobs × nodes` matrix that the planner then clamps and diffs
+//! densely. Both run the same stages with the same RNG draws, so the
+//! planner's outcome is identical either way. The sparse round falls
+//! back to `None` (the dense path) when any view's placement row is
+//! not cluster-width, the one case where the dense diff's padding
+//! rules matter.
 //!
 //! Fully-preemptive policies (Tiresias, Optimus, SRTF) use
 //! [`PreemptAll`], which makes the held set empty: admission then
-//! ranks *every* job and placement rebuilds the whole matrix, which is
+//! ranks *every* job and placement rebuilds every row, which is
 //! exactly the shape of the monolithic baselines — the staged ports
 //! reproduce their pre-refactor trajectories byte-for-byte (pinned by
 //! `pollux-core/tests/baseline_golden.rs`). Non-preemptive policies
@@ -48,7 +61,7 @@
 //! bit-reproducibility guarantees as long as each stage is itself a
 //! pure function of its inputs (all in-repo stages are; none draw).
 
-use crate::policy::{PolicyJobView, SchedulingPolicy};
+use crate::policy::{PlacementDelta, PolicyJobView, SchedulingPolicy};
 use pollux_cluster::{AllocationMatrix, ClusterSpec};
 use pollux_telemetry::{Counter, Recorder};
 use rand::rngs::StdRng;
@@ -130,17 +143,77 @@ pub trait AdmissionPolicy: Send {
     }
 }
 
+/// The placement rows written during one [`StagedScheduler`] round,
+/// in write order: each entry either keeps a job's current placement
+/// verbatim or gives it an explicit new row. Rows never written end
+/// the round with zero GPUs. A later write to the same row replaces
+/// an earlier one, as a matrix row assignment would.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowSink {
+    /// `(view row, None = keep current placement | Some(new row))`.
+    entries: Vec<(usize, Option<Vec<u32>>)>,
+}
+
+impl RowSink {
+    /// An empty sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The job at view index `row` keeps its current placement.
+    pub fn keep(&mut self, row: usize) {
+        self.entries.push((row, None));
+    }
+
+    /// The job at view index `row` gets the cluster-width placement
+    /// `gpus`.
+    pub fn set(&mut self, row: usize, gpus: Vec<u32>) {
+        self.entries.push((row, Some(gpus)));
+    }
+
+    /// Replays the writes into a dense `jobs × num_nodes` matrix.
+    pub fn into_matrix(self, jobs: &[PolicyJobView<'_>], num_nodes: usize) -> AllocationMatrix {
+        let mut matrix = AllocationMatrix::zeros(jobs.len(), num_nodes);
+        for (row, gpus) in self.entries {
+            match gpus {
+                None => {
+                    for (n, &g) in jobs[row].current_placement.iter().enumerate() {
+                        matrix.set(row, n, g);
+                    }
+                }
+                Some(gpus) => matrix.set_row(row, gpus),
+            }
+        }
+        matrix
+    }
+
+    /// Consumes the sink into the final write per row, ascending by
+    /// row (a stable sort keeps write order among repeated rows, and
+    /// the last one wins).
+    fn into_final_rows(mut self) -> Vec<(usize, Option<Vec<u32>>)> {
+        self.entries.sort_by_key(|&(row, _)| row);
+        let mut out: Vec<(usize, Option<Vec<u32>>)> = Vec::with_capacity(self.entries.len());
+        for entry in self.entries {
+            match out.last_mut() {
+                Some(last) if last.0 == entry.0 => *last = entry,
+                _ => out.push(entry),
+            }
+        }
+        out
+    }
+}
+
 /// Stage 3 of a [`StagedScheduler`] round: concrete GPU rows for the
 /// admitted jobs.
 pub trait PlacementPolicy: Send {
     /// Stage name (shown in telemetry metadata).
     fn name(&self) -> &'static str;
 
-    /// Writes a placement row into `matrix` for each admitted job,
-    /// deducting every granted GPU from `free`. Jobs that cannot be
-    /// placed within `free` are left at their all-zero row (they stay
+    /// Writes a placement row into `sink` for each admitted job it
+    /// places, deducting every granted GPU from `free`. Jobs that
+    /// cannot be placed within `free` are left unwritten (they stay
     /// pending / become preempted). Must never exceed `free` — the
-    /// feasibility of the composed matrix is placement's
+    /// feasibility of the composed round is placement's
     /// responsibility.
     fn place(
         &mut self,
@@ -148,7 +221,7 @@ pub trait PlacementPolicy: Send {
         jobs: &[PolicyJobView<'_>],
         admitted: &[Admitted],
         free: &mut [u32],
-        matrix: &mut AllocationMatrix,
+        sink: &mut RowSink,
         rng: &mut StdRng,
     );
 }
@@ -300,7 +373,7 @@ impl PlacementPolicy for ConsolidatedPlacement {
         jobs: &[PolicyJobView<'_>],
         admitted: &[Admitted],
         free: &mut [u32],
-        matrix: &mut AllocationMatrix,
+        sink: &mut RowSink,
         _rng: &mut StdRng,
     ) {
         // First pass: keep placements whose GPU count already matches
@@ -312,9 +385,7 @@ impl PlacementPolicy for ConsolidatedPlacement {
             };
             let current: u32 = view.current_placement.iter().sum();
             if a.gpus > 0 && current == a.gpus && keep_placement(view.current_placement, free) {
-                for (n, &g) in view.current_placement.iter().enumerate() {
-                    matrix.set(a.row, n, g);
-                }
+                sink.keep(a.row);
             } else if a.gpus > 0 {
                 needs_placing.push(a);
             }
@@ -326,7 +397,7 @@ impl PlacementPolicy for ConsolidatedPlacement {
         }
         for a in needs_placing {
             if let Some(row) = pack_consolidated(a.gpus, free) {
-                matrix.set_row(a.row, row);
+                sink.set(a.row, row);
             }
         }
     }
@@ -388,23 +459,21 @@ impl StagedScheduler {
             self.preemption.name(),
         )
     }
-}
 
-impl SchedulingPolicy for StagedScheduler {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn schedule(
+    /// Runs the three stages (see the module docs for the pipeline)
+    /// and returns every held and placed row, plus each view's
+    /// `is_running` flag. Shared by the dense and sparse rounds, so
+    /// both make the same stage calls and the same RNG draws.
+    fn compose(
         &mut self,
         now: f64,
         jobs: &[PolicyJobView<'_>],
         spec: &ClusterSpec,
         rng: &mut StdRng,
-    ) -> AllocationMatrix {
-        let num_nodes = spec.num_nodes();
-        let mut matrix = AllocationMatrix::zeros(jobs.len(), num_nodes);
+    ) -> (RowSink, Vec<bool>) {
+        let mut sink = RowSink::new();
         let mut free: Vec<u32> = spec.iter().map(|(_, s)| s.gpus).collect();
+        let running: Vec<bool> = jobs.iter().map(PolicyJobView::is_running).collect();
 
         // Stage 1: preemption eligibility.
         let victims = self.preemption.yield_rows(now, jobs, spec, rng);
@@ -421,13 +490,9 @@ impl SchedulingPolicy for StagedScheduler {
         // preempted this round.
         let mut held = vec![false; jobs.len()];
         for (row, view) in jobs.iter().enumerate() {
-            if view.is_running()
-                && !may_yield[row]
-                && keep_placement(view.current_placement, &mut free)
+            if running[row] && !may_yield[row] && keep_placement(view.current_placement, &mut free)
             {
-                for (n, &g) in view.current_placement.iter().enumerate() {
-                    matrix.set(row, n, g);
-                }
+                sink.keep(row);
                 held[row] = true;
             }
         }
@@ -441,28 +506,91 @@ impl SchedulingPolicy for StagedScheduler {
 
         // Stage 3: placement of the admitted jobs.
         self.placement
-            .place(now, jobs, &admitted, &mut free, &mut matrix, rng);
+            .place(now, jobs, &admitted, &mut free, &mut sink, rng);
+        (sink, running)
+    }
 
-        // Observational round accounting: entrants (pending jobs that
-        // now hold GPUs) and evictions (running jobs that lost all of
-        // theirs). Gated on a live recorder so the scan costs nothing
-        // otherwise; counters never feed back into the schedule.
-        if self.telemetry_live {
-            let mut entered = 0u64;
-            let mut evicted = 0u64;
-            for (row, view) in jobs.iter().enumerate() {
-                let has = matrix.gpus_of(row) > 0;
-                match (view.is_running(), has) {
-                    (false, true) => entered += 1,
-                    (true, false) => evicted += 1,
-                    _ => {}
-                }
+    /// Observational round accounting: entrants (pending jobs that
+    /// now hold GPUs) and evictions (running jobs that lost all of
+    /// theirs), given whether each row holds GPUs after the round.
+    /// Counters never feed back into the schedule.
+    fn count_round(&self, running: &[bool], has_gpus: impl Fn(usize) -> bool) {
+        let mut entered = 0u64;
+        let mut evicted = 0u64;
+        for (row, &was) in running.iter().enumerate() {
+            match (was, has_gpus(row)) {
+                (false, true) => entered += 1,
+                (true, false) => evicted += 1,
+                _ => {}
             }
-            self.admitted_ctr.add(entered);
-            self.preempted_ctr.add(evicted);
         }
+        self.admitted_ctr.add(entered);
+        self.preempted_ctr.add(evicted);
+    }
+}
 
+impl SchedulingPolicy for StagedScheduler {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn schedule(
+        &mut self,
+        now: f64,
+        jobs: &[PolicyJobView<'_>],
+        spec: &ClusterSpec,
+        rng: &mut StdRng,
+    ) -> AllocationMatrix {
+        let (sink, running) = self.compose(now, jobs, spec, rng);
+        let matrix = sink.into_matrix(jobs, spec.num_nodes());
+        // Gated on a live recorder so the scan costs nothing otherwise.
+        if self.telemetry_live {
+            self.count_round(&running, |row| matrix.gpus_of(row) > 0);
+        }
         matrix
+    }
+
+    /// The sparse round: the same stages as [`Self::schedule`], but
+    /// only rows whose placement changes are returned, ascending.
+    /// Declines (`None`, without drawing) when any view's placement
+    /// row is not cluster-width.
+    fn schedule_sparse(
+        &mut self,
+        now: f64,
+        jobs: &[PolicyJobView<'_>],
+        spec: &ClusterSpec,
+        rng: &mut StdRng,
+    ) -> Option<Vec<PlacementDelta>> {
+        let num_nodes = spec.num_nodes();
+        if jobs.iter().any(|v| v.current_placement.len() != num_nodes) {
+            return None;
+        }
+        let (sink, running) = self.compose(now, jobs, spec, rng);
+        let mut has_gpus = vec![false; jobs.len()];
+        let mut deltas = Vec::new();
+        let mut finals = sink.into_final_rows().into_iter().peekable();
+        for (row, view) in jobs.iter().enumerate() {
+            match finals.next_if(|&(r, _)| r == row) {
+                // Kept: unchanged by definition.
+                Some((_, None)) => has_gpus[row] = running[row],
+                Some((_, Some(gpus))) => {
+                    has_gpus[row] = gpus.iter().any(|&g| g > 0);
+                    if gpus.as_slice() != view.current_placement {
+                        deltas.push(PlacementDelta { row, gpus });
+                    }
+                }
+                // Never written: a running job is preempted.
+                None if running[row] => deltas.push(PlacementDelta {
+                    row,
+                    gpus: vec![0; num_nodes],
+                }),
+                None => {}
+            }
+        }
+        if self.telemetry_live {
+            self.count_round(&running, |row| has_gpus[row]);
+        }
+        Some(deltas)
     }
 
     fn desired_nodes(
@@ -627,16 +755,11 @@ mod tests {
         let idle = vec![0u32, 0, 0];
         let views = [view(0, &cur0, 0.0), view(1, &idle, 1.0)];
         let admitted = [Admitted { row: 0, gpus: 2 }, Admitted { row: 1, gpus: 4 }];
-        let mut matrix = AllocationMatrix::zeros(2, 3);
+        let mut sink = RowSink::new();
         let mut rng = StdRng::seed_from_u64(0);
-        ConsolidatedPlacement::admitted_order().place(
-            0.0,
-            &views,
-            &admitted,
-            &mut free,
-            &mut matrix,
-            &mut rng,
-        );
+        ConsolidatedPlacement::admitted_order()
+            .place(0.0, &views, &admitted, &mut free, &mut sink, &mut rng);
+        let matrix = sink.into_matrix(&views, 3);
         // Job 0 keeps its exact row; job 1 packs onto one full node.
         assert_eq!(matrix.row(0), &[0, 2, 0]);
         assert_eq!(matrix.nodes_of(1), 1);
@@ -652,16 +775,11 @@ mod tests {
         // Admitted order is small-then-big; largest-first must give
         // the big job the single-node placement.
         let admitted = [Admitted { row: 0, gpus: 2 }, Admitted { row: 1, gpus: 4 }];
-        let mut matrix = AllocationMatrix::zeros(2, 2);
+        let mut sink = RowSink::new();
         let mut rng = StdRng::seed_from_u64(0);
-        ConsolidatedPlacement::largest_first().place(
-            0.0,
-            &views,
-            &admitted,
-            &mut free,
-            &mut matrix,
-            &mut rng,
-        );
+        ConsolidatedPlacement::largest_first()
+            .place(0.0, &views, &admitted, &mut free, &mut sink, &mut rng);
+        let matrix = sink.into_matrix(&views, 2);
         assert_eq!(matrix.nodes_of(1), 1, "big job consolidated first");
         assert_eq!(matrix.gpus_of(0), 2);
     }

@@ -157,12 +157,17 @@ proptest! {
         let mut num_nodes = init_nodes;
         let mut rows: Vec<Vec<u32>> = Vec::new();
         let mut index = InterferenceIndex::new(num_nodes);
+        // Reused across steps like the engine's buffer: grown per
+        // spawn, and only the previously marked rows are reset.
+        let mut slowdown: Vec<f64> = Vec::new();
+        let mut marked: Vec<u32> = Vec::new();
         for (step, &(kind, pick, pattern)) in ops.iter().enumerate() {
             match kind {
                 // Spawn: one new idle job.
                 0 => {
                     index.push_job();
                     rows.push(vec![0; num_nodes]);
+                    slowdown.push(0.0);
                 }
                 // Finish: clear a job's placement.
                 1 => {
@@ -193,11 +198,14 @@ proptest! {
                     }
                 }
             }
-            let mut marked = vec![0.0; rows.len()];
-            index.mark_slowdowns(factor, &mut marked);
+            for &j in &marked {
+                slowdown[j as usize] = 0.0;
+            }
+            marked.clear();
+            index.mark_slowdowns(factor, &mut slowdown, &mut marked);
             let expected = rescan_slowdowns(&rows, num_nodes, factor);
             assert_eq!(
-                marked, expected,
+                slowdown, expected,
                 "step {step}: op ({kind}, {pick}, {pattern}) over {num_nodes} nodes, rows {rows:?}"
             );
         }

@@ -16,12 +16,16 @@
 //!   of the seed, never of `sched_threads` / `engine_threads` — the
 //!   admission order feeds placement directly, so one out-of-order
 //!   admit would flip the serialized `SimResult`.
+//! - **Sparse = dense**: a round planned through the staged sparse
+//!   path (`schedule_sparse`) has the same outcome and leaves the RNG
+//!   in the same state as one planned through the dense matrix, and
+//!   the sparse path declines when a view is not cluster-width.
 
 use pollux_baselines::{
     fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias, TiresiasConfig,
 };
-use pollux_cluster::{ClusterSpec, JobId};
-use pollux_control::pack_consolidated;
+use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId};
+use pollux_control::{pack_consolidated, RoundPlanner};
 use pollux_core::{run_trace, ConfigChoice};
 use pollux_models::BatchSizeLimits;
 use pollux_simulator::{
@@ -100,7 +104,119 @@ fn zoo() -> Vec<StagedScheduler> {
     ]
 }
 
+/// Forwards `schedule` (and the name) only, so the planner never
+/// gets a sparse answer: the dense oracle for the staged sparse round.
+struct DenseOnly(StagedScheduler);
+
+impl SchedulingPolicy for DenseOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn schedule(
+        &mut self,
+        now: f64,
+        jobs: &[PolicyJobView<'_>],
+        spec: &ClusterSpec,
+        rng: &mut StdRng,
+    ) -> AllocationMatrix {
+        self.0.schedule(now, jobs, spec, rng)
+    }
+}
+
+/// Plans one round of every zoo policy twice — once as is, once
+/// through [`DenseOnly`] — from the same seed, and requires the same
+/// outcome, the same RNG state afterwards, and the same count of
+/// materialized rows.
+fn assert_sparse_matches_dense(
+    jobs: &[PolicyJobView<'_>],
+    spec: &ClusterSpec,
+    now: f64,
+    seed: u64,
+) {
+    for (mut staged, oracle) in zoo().into_iter().zip(zoo()) {
+        let name = staged.name();
+        let mut oracle = DenseOnly(oracle);
+        let (mut rng_s, mut rng_d) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let (mut planner_s, mut planner_d) = (RoundPlanner::new(), RoundPlanner::new());
+        let sparse = planner_s.plan(&mut staged, now, jobs, spec, &mut rng_s);
+        let dense = planner_d.plan(&mut oracle, now, jobs, spec, &mut rng_d);
+        assert_eq!(sparse, dense, "{name}: outcomes differ");
+        assert_eq!(rng_s, rng_d, "{name}: RNG states differ");
+        assert_eq!(
+            planner_s.rows_materialized(),
+            planner_d.rows_materialized(),
+            "{name}: materialized rows differ"
+        );
+    }
+}
+
 proptest! {
+    /// The staged sparse round agrees with the dense matrix round for
+    /// every zoo policy, on random jobs, clusters, seeded placements,
+    /// and restart flags — and it really is the sparse path that runs
+    /// when every view is cluster-width.
+    #[test]
+    fn sparse_and_dense_rounds_agree(
+        raw in raw_jobs(),
+        nodes in 1u32..=6,
+        gpn in 1u32..=8,
+        seed in 0u64..1024,
+        now in 0.0f64..100_000.0,
+        started in 0u32..65_536,
+    ) {
+        let spec = ClusterSpec::homogeneous(nodes, gpn).unwrap();
+        let placements = seed_placements(&raw, &spec);
+        let mut jobs = views(&raw, &placements);
+        // Some pending jobs were preempted after starting, so a new
+        // grant for them pays a restart.
+        for (i, job) in jobs.iter_mut().enumerate() {
+            job.started |= started >> (i % 16) & 1 == 1;
+        }
+        for mut policy in zoo() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            prop_assert!(
+                policy.schedule_sparse(now, &jobs, &spec, &mut rng).is_some(),
+                "{} declined a cluster-width round",
+                policy.name()
+            );
+        }
+        assert_sparse_matches_dense(&jobs, &spec, now, seed);
+    }
+
+    /// A view whose placement row is not cluster-width (a stale row
+    /// around a resize) makes the sparse round decline without
+    /// drawing, and the planner's dense fallback matches the oracle.
+    #[test]
+    fn width_mismatched_view_falls_back_to_dense(
+        raw in raw_jobs(),
+        nodes in 1u32..=6,
+        gpn in 1u32..=8,
+        seed in 0u64..1024,
+        pick in 0usize..12,
+        wider in 0u32..2,
+    ) {
+        let spec = ClusterSpec::homogeneous(nodes, gpn).unwrap();
+        let mut placements = seed_placements(&raw, &spec);
+        let k = pick % placements.len();
+        if wider == 1 {
+            placements[k].push(1);
+        } else {
+            placements[k].pop();
+        }
+        let jobs = views(&raw, &placements);
+        for mut policy in zoo() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            prop_assert!(
+                policy.schedule_sparse(0.0, &jobs, &spec, &mut rng).is_none(),
+                "{} answered sparsely over a width-mismatched view",
+                policy.name()
+            );
+            prop_assert_eq!(rng, StdRng::seed_from_u64(seed), "declining drew from the RNG");
+        }
+        assert_sparse_matches_dense(&jobs, &spec, 0.0, seed);
+    }
+
     /// The composed matrix always fits the spec — the planner clamp
     /// downstream is dead code for every zoo policy.
     #[test]

@@ -249,6 +249,37 @@ mod tests {
             prop_assert!(e_hi <= e_lo + 1e-12);
         }
 
+        /// At or below `m0` efficiency is `(φ + m0) / (φ + m0)`:
+        /// exactly 1.0, bit for bit, for tiny, large, and infinite φ.
+        /// The simulator's unit-efficiency fast path relies on this.
+        #[test]
+        fn efficiency_is_exactly_one_at_or_below_m0(
+            m0 in 1u64..u64::MAX,
+            frac in 0.0f64..=1.0,
+            phi_kind in 0u32..6,
+            x in 0.0f64..1.0,
+        ) {
+            let m = (m0 as f64 * frac) as u64;
+            let phi = match phi_kind {
+                0 => 0.0,
+                1 => x * 1e-300,
+                2 => 1e-300 + x * 1e6,
+                3 => 1e6 + x * 1e300,
+                4 => f64::MAX,
+                _ => f64::INFINITY,
+            };
+            let e = EfficiencyModel::from_noise_scale(m0, phi).unwrap();
+            prop_assert_eq!(
+                e.efficiency(m).to_bits(),
+                1.0f64.to_bits(),
+                "m={} m0={} phi={}",
+                m,
+                m0,
+                phi
+            );
+            prop_assert_eq!(e.efficiency(m0).to_bits(), 1.0f64.to_bits());
+        }
+
         #[test]
         fn gain_is_monotone_in_m(
             m0 in 1u64..10_000,

@@ -13,14 +13,39 @@
 //! each job's whole chunk runs as one tight loop over its private
 //! accumulators, making jobs independent work items for
 //! [`pollux_sched::parallel_map`]; see `Simulation::advance_chunk`
-//! for the exact contract. The previous tick-major macro inner loop is
-//! retained as [`Simulation::run_tick_major`] (the `bench_sim`
-//! comparison baseline), and the original per-tick stepper as
-//! [`Simulation::run_reference`].
+//! for the exact contract. The original per-tick stepper is retained
+//! as [`Simulation::run_reference`], the ground-truth oracle.
+//!
+//! # Work proportional to change
+//!
+//! Three shortcuts keep the chunk path from redoing work whose inputs
+//! did not move. Each is exact, so none changes a bit of the result:
+//!
+//! - *Per-job invariants cached across chunks.* A job's placement
+//!   shape lives on the [`SimJob`], refreshed only by its one
+//!   placement writer (`SimJob::edit_placement`: reallocation,
+//!   finish, preemption, cluster resize), and its true iteration time
+//!   is memoised per `(shape, batch)`. A chunk reads both in O(1)
+//!   instead of scanning the cluster-wide placement row and paying
+//!   three `powf`s per job; `chunk_setup` debug-asserts that both
+//!   still equal a fresh recomputation.
+//! - *Unit efficiency at or below `m0`.* `EFFICIENCY(m)` is
+//!   `(φ + m0) / (φ + m0)` there, exactly 1.0 for every admissible φ,
+//!   so the per-tick fold and the truncation pre-scan skip evaluating
+//!   φ for such jobs (debug builds still evaluate it and compare
+//!   bits).
+//! - *Slowdown rows reset sparsely.* The interference buffer grows
+//!   with arrivals and only the rows the index marked last chunk are
+//!   cleared, instead of refilling a vector over every job ever
+//!   submitted.
+//!
+//! [`Simulation::run_reference`] takes none of these shortcuts: it
+//! recomputes shape, iteration time, and efficiency from scratch every
+//! tick, so it stays an independent oracle for them.
 //!
 //! The determinism contract is strict: for a fixed seed the
 //! macro-stepped engine produces a `SimResult` **bit-identical** to
-//! both retained steppers, at any `engine_threads` count (same RNG
+//! the reference stepper, at any `engine_threads` count (same RNG
 //! draw sequence, same f64 addition order per accumulator). The
 //! determinism suite in `tests/macro_step.rs` pins this with golden
 //! digests and reference-equality proptests.
@@ -131,7 +156,13 @@ pub struct Simulation<P: SchedulingPolicy> {
     node_seconds: f64,
     /// Reused interference buffer, indexed by job (all jobs, not just
     /// active ones, so stale entries can never alias a live index).
+    /// Grown by one zero per arrival; between chunks only the rows in
+    /// `slowed` are nonzero.
     slowdown: Vec<f64>,
+    /// Rows of `slowdown` the interference index marked on the last
+    /// refresh (possibly repeated): the only rows the next refresh has
+    /// to reset.
+    slowed: Vec<u32>,
     /// Incremental interference index: per-node occupant sets and
     /// per-job node counts, updated on placement deltas (reallocation,
     /// finish, resize) so each macro-step's interference query costs
@@ -228,6 +259,9 @@ struct ChunkCtx {
 struct RunCtx {
     /// Batch size in effect.
     batch: u64,
+    /// `batch ≤ m0`: statistical efficiency is exactly 1.0 whatever
+    /// the job's progress (see [`RunCtx::efficiency`]).
+    unit_eff: bool,
     /// Total work (examples at m0-efficiency) at which the job ends.
     work: f64,
     /// True throughput after interference (examples/s).
@@ -243,6 +277,25 @@ struct RunCtx {
     col: usize,
     /// Open profiler batch for this job's `(shape, batch)` key.
     obs: ObservationRun,
+}
+
+impl RunCtx {
+    /// The job's true statistical efficiency at `progress`. At or
+    /// below `m0` this is `(φ + m0) / (φ + m0)`, which is exactly 1.0
+    /// for every finite or infinite φ, so φ is not evaluated; debug
+    /// builds still evaluate it and compare bits.
+    fn efficiency(&self, job: &SimJob, progress: f64) -> f64 {
+        if self.unit_eff {
+            debug_assert_eq!(
+                job.true_efficiency_at(progress, self.batch).to_bits(),
+                1.0f64.to_bits(),
+                "unit-efficiency fast path diverged from the efficiency model"
+            );
+            1.0
+        } else {
+            job.true_efficiency_at(progress, self.batch)
+        }
+    }
 }
 
 struct ChunkOutcome {
@@ -350,8 +403,7 @@ fn advance_job_block(
                 gputime[k] += ctx.gpu_dt;
                 continue;
             };
-            let job = &jobs[ctx.idx];
-            let eff = job.true_efficiency_at(progress[k], rs.batch);
+            let eff = rs.efficiency(&jobs[ctx.idx], progress[k]);
             progress[k] += rs.throughput * eff * dt;
             examples[k] += rs.tput_dt;
             gputime[k] += ctx.gpu_dt;
@@ -525,6 +577,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             sched_stats: Vec::new(),
             node_seconds: 0.0,
             slowdown: Vec::new(),
+            slowed: Vec::new(),
             interference: InterferenceIndex::new(num_nodes),
             view_buf: Vec::new(),
             chunk_buf: Vec::new(),
@@ -591,25 +644,9 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// reports, scheduling) happens at event horizons; the ticks in
     /// between run through `Self::advance_chunk` with per-job
     /// invariants hoisted and each job advanced over its whole chunk
-    /// in one stripe. Bit-identical to [`Self::run_tick_major`] and
-    /// [`Self::run_reference`] for any fixed seed, at any
-    /// `engine_threads` count.
-    pub fn run(self) -> SimResult {
-        self.run_macro(true)
-    }
-
-    /// The retained tick-major macro stepper: identical event-horizon
-    /// chunking, but the inner loop sweeps every running job each tick
-    /// (the pre-job-major layout). Kept as the `bench_sim` comparison
-    /// baseline isolating the job-major chunk advancement, and as an
-    /// extra equivalence anchor for the determinism suite. Always
-    /// serial inside chunks; report rounds share [`Self::run`]'s
-    /// two-phase path.
-    pub fn run_tick_major(self) -> SimResult {
-        self.run_macro(false)
-    }
-
-    fn run_macro(mut self, job_major: bool) -> SimResult {
+    /// in one stripe. Bit-identical to [`Self::run_reference`] for any
+    /// fixed seed, at any `engine_threads` count.
+    pub fn run(mut self) -> SimResult {
         let dt = self.config.tick_seconds;
         let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
         let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
@@ -622,11 +659,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             now = tick as f64 * dt;
             self.tick_boundaries(tick, now, report_every, sched_every);
             let horizon = self.next_horizon(tick, dt, report_every, sched_every, max_ticks);
-            let chunk = if job_major {
-                self.advance_chunk(tick, horizon, dt)
-            } else {
-                self.advance_chunk_tick_major(tick, horizon, dt)
-            };
+            let chunk = self.advance_chunk(tick, horizon, dt);
             tick += chunk.ticks;
             now = (tick - 1) as f64 * dt;
             if chunk.exit {
@@ -739,12 +772,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
         horizon.max(tick + 1)
     }
 
-    /// Builds the per-job chunk contexts shared by both macro paths:
-    /// refreshes interference, hoists the per-job invariants, opens
-    /// the profiler runs, and applies the analytic completion lower
-    /// bound to the chunk length. Returns the context vector (taken
-    /// from the recycled buffer), the bounded chunk length, and the
-    /// number of running (GPU-holding) contexts.
+    /// Builds the per-job chunk contexts: refreshes interference,
+    /// reads the per-job invariants (cached shape, memoised iteration
+    /// time), opens the profiler runs, and applies the analytic
+    /// completion lower bound to the chunk length. Returns the context
+    /// vector (taken from the recycled buffer), the bounded chunk
+    /// length, and the number of running (GPU-holding) contexts.
     fn chunk_setup(&mut self, start: u64, horizon: u64, dt: f64) -> (Vec<ChunkCtx>, u64, usize) {
         self.compute_interference();
         // `compute_interference` sizes the vector to the full job
@@ -762,22 +795,27 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let jobs = &mut self.jobs;
         for &idx in &self.active {
             let job = &mut jobs[idx];
+            debug_assert!(
+                job.placement_cache_is_coherent(),
+                "job {idx}: cached shape / t_iter diverged from a fresh recomputation"
+            );
+            let shape = job.placed_shape();
             match job.state() {
                 JobState::Running => {}
                 JobState::Restarting { .. } => {
                     ctxs.push(ChunkCtx {
                         idx,
-                        gpu_dt: job.gpus() as f64 * dt,
+                        gpu_dt: shape.map_or(0, |s| s.gpus) as f64 * dt,
                         run: None,
                     });
                     continue;
                 }
                 _ => continue,
             }
-            let Some(shape) = job.shape() else { continue };
+            let Some(shape) = shape else { continue };
             let m = job.batch_size;
             let slow = self.slowdown[idx];
-            let t_iter = job.true_t_iter(shape, m);
+            let t_iter = job.memo_t_iter(shape);
             let throughput = (m as f64 / t_iter) * (1.0 - slow);
             let tput_dt = throughput * dt;
 
@@ -801,6 +839,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 gpu_dt: shape.gpus as f64 * dt,
                 run: Some(RunCtx {
                     batch: m,
+                    unit_eff: m <= job.profile.m0,
                     work: job.spec.work,
                     throughput,
                     tput_dt,
@@ -820,14 +859,14 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// committed serially in job order.
     ///
     /// The pass is structured so every observable stays bit-identical
-    /// to the tick-major sweep:
+    /// to a tick-major sweep (the reference stepper's order):
     /// 1. *Truncation pre-scan* (serial). The measurement noise only
     ///    feeds the profiler — progress never sees it — so each job's
     ///    finish tick is computable before any eps is drawn. Candidate
     ///    jobs (`remaining ≤ cap · tput_dt`, with slack for f64
     ///    rounding) replay their progress fold to find the first
     ///    crossing; the chunk truncates at the earliest one, which is
-    ///    exactly where the tick-major loop would have aborted.
+    ///    exactly where the reference stepper sees its first finish.
     /// 2. *eps pre-draw* (serial). Exactly `truncated × n_run` draws in
     ///    the tick-major order — per tick, ascending job order — stored
     ///    transposed so each job's draws form one contiguous column.
@@ -869,7 +908,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             }
             let mut progress = job.progress;
             for t in 1..=truncated {
-                let eff = job.true_efficiency_at(progress, rs.batch);
+                let eff = rs.efficiency(job, progress);
                 progress += rs.throughput * eff * dt;
                 if progress >= rs.work {
                     truncated = t;
@@ -923,12 +962,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
             if run.finished {
                 job.lifecycle.finish(finish_now + dt);
                 self.interference.clear_job(ctx.idx, &job.placement);
-                job.placement.iter_mut().for_each(|g| *g = 0);
+                job.edit_placement(|p| p.fill(0));
                 finished.push((ctx.idx, job.spec.id));
             }
             // Commit the batched profiler observations (including for
-            // jobs that just finished — the tick-major loop records up
-            // to and including the finish tick too).
+            // jobs that just finished — the reference stepper records
+            // up to and including the finish tick too).
             job.agent.record_observation_run(run.obs);
         }
         for _ in 0..truncated {
@@ -966,109 +1005,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
 
         ChunkOutcome {
             ticks: truncated,
-            exit,
-        }
-    }
-
-    /// The retained tick-major chunk advancement (the pre-job-major
-    /// inner loop): sweeps every context each tick, drawing eps inline
-    /// and aborting after the tick of the first completion. Driven by
-    /// [`Self::run_tick_major`] as the benchmark baseline and an extra
-    /// determinism anchor.
-    ///
-    /// Bit-compatibility with the reference stepper:
-    /// - RNG: exactly one `gen_range(-noise..=noise)` per running job
-    ///   holding GPUs, in ascending job order, per tick — nothing else
-    ///   draws inside a chunk;
-    /// - f64 accumulation: `progress`, `examples_processed`,
-    ///   `gputime`, `node_seconds`, and the profiler sum advance by
-    ///   one addition per tick in the original order; cached products
-    ///   (`gpus · dt`, `throughput · dt`, `t_iter / (1 − slow)`) have
-    ///   bit-identical operands to the per-tick recomputation;
-    /// - efficiency is recomputed per tick through the same
-    ///   `SimJob::true_efficiency` path — it is a nonlinear function
-    ///   of the job's own moving progress and cannot be hoisted.
-    fn advance_chunk_tick_major(&mut self, start: u64, horizon: u64, dt: f64) -> ChunkOutcome {
-        let noise = self.config.measurement_noise;
-        let node_dt = self.spec.num_nodes() as f64 * dt;
-        let arrivals_empty = self.arrivals.is_empty();
-
-        let (mut ctxs, max_len, _n_run) = self.chunk_setup(start, horizon, dt);
-
-        let jobs = &mut self.jobs;
-        let rng = &mut self.rng;
-        let interference = &mut self.interference;
-        let mut finished = std::mem::take(&mut self.finished_buf);
-        let mut executed = 0u64;
-        let mut exit = false;
-        'ticks: for t in start..start + max_len {
-            let now = t as f64 * dt;
-            executed += 1;
-            for ctx in ctxs.iter_mut() {
-                let job = &mut jobs[ctx.idx];
-                let Some(rs) = &mut ctx.run else {
-                    job.lifecycle.accrue_gputime(ctx.gpu_dt);
-                    continue;
-                };
-                let eff = job.true_efficiency(rs.batch);
-                job.progress += rs.throughput * eff * dt;
-                job.examples_processed += rs.tput_dt;
-                job.lifecycle.accrue_gputime(ctx.gpu_dt);
-
-                // The agent observes a noisy iteration time (including
-                // any interference slowdown, which it cannot
-                // distinguish).
-                let eps: f64 = rng.gen_range(-noise..=noise);
-                rs.obs.observe(rs.t_base * (1.0 + eps));
-
-                if job.progress >= rs.work {
-                    job.lifecycle.finish(now + dt);
-                    interference.clear_job(ctx.idx, &job.placement);
-                    job.placement.iter_mut().for_each(|g| *g = 0);
-                    finished.push((ctx.idx, job.spec.id));
-                }
-            }
-            self.node_seconds += node_dt;
-
-            if !finished.is_empty() {
-                for &(_, id) in finished.iter() {
-                    self.events.push(SchedulingEvent {
-                        time: now + dt,
-                        job: id,
-                        kind: EventKind::Finished,
-                        gpus: 0,
-                    });
-                }
-                remove_finished_from_active(&mut self.active, &finished);
-                exit = arrivals_empty && self.active.is_empty();
-                break 'ticks;
-            }
-        }
-
-        // Commit the batched profiler observations (including those of
-        // jobs that just finished — the reference stepper records up
-        // to and including the finish tick too).
-        for ctx in ctxs.iter_mut() {
-            if let Some(rs) = ctx.run.take() {
-                jobs[ctx.idx].agent.record_observation_run(rs.obs);
-            }
-        }
-        ctxs.clear();
-        self.chunk_buf = ctxs;
-        finished.clear();
-        self.finished_buf = finished;
-
-        self.telem.chunks.add(1);
-        self.telem.ticks.add(executed);
-        self.telem.chunk_ticks.observe(executed);
-        if executed < horizon - start {
-            // A completion (or its prediction) cut the chunk short of
-            // its event horizon.
-            self.telem.mid_chunk_aborts.add(1);
-        }
-
-        ChunkOutcome {
-            ticks: executed,
             exit,
         }
     }
@@ -1120,7 +1056,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             if job.progress >= job.spec.work {
                 job.lifecycle.finish(now + dt);
                 self.interference.clear_job(idx, &job.placement);
-                job.placement.iter_mut().for_each(|g| *g = 0);
+                job.edit_placement(|p| p.fill(0));
                 finished.push((idx, job.spec.id));
             }
         }
@@ -1177,6 +1113,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 let (spec, user) = self.arrivals.pop().expect("checked non-empty");
                 self.active.push(self.jobs.len());
                 self.interference.push_job(); // Spawns with no placement.
+                self.slowdown.push(0.0);
                 let mut job = SimJob::new(spec, user, self.spec.num_nodes());
                 if self.recorder.is_enabled() {
                     // The job's lifecycle emits its own transitions
@@ -1393,7 +1330,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
         self.interference.apply(i, &self.jobs[i].placement, &r.new);
         let job = &mut self.jobs[i];
         debug_assert_eq!(job.spec.id, r.job, "view order matches active order");
-        job.placement = r.new;
+        job.edit_placement(|p| *p = r.new);
         let event_kind;
         let event_gpus;
         if let Some(shape) = job.shape() {
@@ -1442,16 +1379,16 @@ impl<P: SchedulingPolicy> Simulation<P> {
         self.spec =
             ClusterSpec::homogeneous(nodes, gpus_per_node).expect("nodes >= 1 enforced by caller");
         for job in &mut self.jobs {
-            if job.is_finished() {
-                job.placement.resize(new_n, 0);
-                continue;
-            }
-            let loses_gpus = job.placement.iter().skip(new_n).any(|&g| g > 0);
-            job.placement.resize(new_n, 0);
+            // The whole job is preempted when it loses any GPU
+            // (partial placements would change its world silently).
+            let loses_gpus = !job.is_finished() && job.placement.iter().skip(new_n).any(|&g| g > 0);
+            job.edit_placement(|p| {
+                p.resize(new_n, 0);
+                if loses_gpus {
+                    p.fill(0);
+                }
+            });
             if loses_gpus {
-                // The whole job is preempted (partial placements would
-                // change its world silently).
-                job.placement.iter_mut().for_each(|g| *g = 0);
                 job.lifecycle.preempt(now);
             }
         }
@@ -1471,16 +1408,20 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// (Sec. 4.2.1 / Fig 9). Served by the incremental
     /// [`InterferenceIndex`] — O(nodes + occupancy) per macro-step
     /// instead of rescanning every active placement — and cross-checked
-    /// against the full rescan in debug builds.
+    /// against the full rescan in debug builds. The buffer is sized by
+    /// `spawn_arrivals`; only the rows marked last time are reset.
     fn compute_interference(&mut self) {
         self.telem.interference_recomputes.add(1);
-        self.slowdown.clear();
-        self.slowdown.resize(self.jobs.len(), 0.0);
+        for &j in &self.slowed {
+            self.slowdown[j as usize] = 0.0;
+        }
+        self.slowed.clear();
         let factor = self.config.interference_slowdown;
         if factor <= 0.0 {
             return;
         }
-        self.interference.mark_slowdowns(factor, &mut self.slowdown);
+        self.interference
+            .mark_slowdowns(factor, &mut self.slowdown, &mut self.slowed);
         debug_assert_eq!(
             self.slowdown,
             self.interference_slowdowns_reference(),
@@ -1833,6 +1774,86 @@ mod tests {
         // Efficiency below 1 because tuned batches exceed m0.
         let eff = res.avg_cluster_efficiency().unwrap();
         assert!(eff > 0.3 && eff <= 1.0, "eff = {eff}");
+    }
+
+    /// Asserts that job `i`'s cached shape and memoised iteration time
+    /// equal a fresh `SimJob::shape()` / `true_t_iter` (bitwise).
+    fn assert_cache_coherent<P: SchedulingPolicy>(sim: &mut Simulation<P>, i: usize, step: &str) {
+        let job = &mut sim.jobs[i];
+        assert_eq!(job.placed_shape(), job.shape(), "{step}: cached shape");
+        if let Some(shape) = job.shape() {
+            let fresh = job.true_t_iter(shape, job.batch_size);
+            assert_eq!(
+                job.memo_t_iter(shape).to_bits(),
+                fresh.to_bits(),
+                "{step}: memoised t_iter"
+            );
+        }
+        assert!(job.placement_cache_is_coherent(), "{step}");
+    }
+
+    /// Drives jobs through every placement writer — reallocation,
+    /// restart, batch re-tune, preemption, an autoscaling shrink that
+    /// drops one job's nodes and keeps another's, and finish — and
+    /// checks the per-job cache after each step.
+    #[test]
+    fn placement_cache_stays_coherent_through_every_writer() {
+        let spec = ClusterSpec::homogeneous(4, 4).unwrap();
+        let mut sim = Simulation::new(
+            quick_config(),
+            spec,
+            FcfsPacked { gpus: 2 },
+            small_workload(2),
+        )
+        .unwrap();
+        sim.spawn_arrivals(60.0);
+        assert_eq!(sim.active, vec![0, 1]);
+        for i in 0..2 {
+            assert_cache_coherent(&mut sim, i, "spawn");
+        }
+        let realloc = |sim: &mut Simulation<FcfsPacked>, i: usize, new: Vec<u32>, restart| {
+            let r = Reallocation {
+                job: sim.jobs[i].spec.id,
+                row: i,
+                old: sim.jobs[i].placement.clone(),
+                new,
+                triggers_restart: restart,
+            };
+            sim.apply_reallocation(i, r, 60.0);
+        };
+
+        realloc(&mut sim, 0, vec![1, 1, 0, 0], false);
+        assert_cache_coherent(&mut sim, 0, "start on two nodes");
+        realloc(&mut sim, 1, vec![2, 0, 0, 0], false);
+        assert_cache_coherent(&mut sim, 1, "start on one node");
+
+        realloc(&mut sim, 0, vec![0, 0, 2, 2], true);
+        assert!(matches!(sim.jobs[0].state(), JobState::Restarting { .. }));
+        assert_cache_coherent(&mut sim, 0, "restart on new nodes");
+
+        let m0 = sim.jobs[0].profile.m0;
+        sim.jobs[0].batch_size = 2 * m0;
+        assert_cache_coherent(&mut sim, 0, "batch re-tune");
+
+        realloc(&mut sim, 0, vec![0; 4], false);
+        assert_eq!(sim.jobs[0].state(), JobState::Pending);
+        assert_cache_coherent(&mut sim, 0, "preemption");
+
+        realloc(&mut sim, 0, vec![0, 0, 1, 3], false);
+        assert_cache_coherent(&mut sim, 0, "re-grant");
+        sim.resize_cluster(2, 120.0);
+        assert_eq!(sim.jobs[0].state(), JobState::Pending);
+        assert_eq!(sim.jobs[0].placement, vec![0, 0]);
+        assert_cache_coherent(&mut sim, 0, "shrink drops its nodes");
+        assert_eq!(sim.jobs[1].placement, vec![2, 0]);
+        assert_cache_coherent(&mut sim, 1, "shrink keeps its nodes");
+
+        // Finish job 1 inside a chunk: its row is zeroed by the commit.
+        let work = sim.jobs[1].spec.work;
+        sim.jobs[1].progress = work * (1.0 - 1e-12);
+        sim.advance_chunk(120, 180, 1.0);
+        assert!(sim.jobs[1].is_finished());
+        assert_cache_coherent(&mut sim, 1, "finish");
     }
 
     /// Policy that re-places every job on alternating nodes each

@@ -130,13 +130,17 @@ impl InterferenceIndex {
     /// (already sized to the job count and zeroed): a job gets
     /// `factor` iff it is distributed (≥ 2 nodes held) and some node
     /// it occupies hosts ≥ 2 distributed jobs. Produces exactly the
-    /// values of the engine's full placement rescan.
-    pub fn mark_slowdowns(&self, factor: f64, out: &mut [f64]) {
+    /// values of the engine's full placement rescan. Every index
+    /// written is appended to `marked` (a job sharing several nodes
+    /// may appear more than once), so the caller can zero just those
+    /// rows before the next refresh.
+    pub fn mark_slowdowns(&self, factor: f64, out: &mut [f64], marked: &mut Vec<u32>) {
         for occ in &self.occupants {
             let distributed = |j: &&u32| self.nodes_held[**j as usize] > 1;
             if occ.iter().filter(distributed).take(2).count() > 1 {
                 for &j in occ.iter().filter(distributed) {
                     out[j as usize] = factor;
+                    marked.push(j);
                 }
             }
         }
@@ -181,7 +185,9 @@ mod tests {
 
     fn slowdowns(ix: &InterferenceIndex, factor: f64) -> Vec<f64> {
         let mut out = vec![0.0; ix.num_jobs()];
-        ix.mark_slowdowns(factor, &mut out);
+        let mut marked = Vec::new();
+        ix.mark_slowdowns(factor, &mut out, &mut marked);
+        assert!(marked.iter().all(|&j| out[j as usize] == factor));
         out
     }
 

@@ -30,7 +30,11 @@ pub struct SimJob {
     /// Shared lifecycle state machine (state, start time, restarts,
     /// attained GPU-time).
     pub lifecycle: JobLifecycle,
-    /// Current placement row (GPUs per node), cluster-width.
+    /// Current placement row (GPUs per node), cluster-width. The
+    /// engine writes it only through `SimJob::edit_placement`, which
+    /// keeps the cached shape below in step; code outside the engine
+    /// that writes the field directly must not rely on that cache
+    /// (and [`Self::shape`] never does).
     pub placement: Vec<u32>,
     /// Current total batch size.
     pub batch_size: u64,
@@ -42,6 +46,14 @@ pub struct SimJob {
     pub(crate) last_fit_configs: usize,
     /// Fit bookkeeping: samples seen at the last refit.
     pub(crate) last_fit_samples: u64,
+    /// `placement`'s shape as of the last [`Self::edit_placement`]:
+    /// the engine reads it every chunk instead of rescanning the
+    /// cluster-wide row.
+    placed_shape: Option<PlacementShape>,
+    /// Single-entry memo of the true iteration time, keyed by the
+    /// `(shape, batch)` it was computed for. Keyed rather than
+    /// invalidated, so batch-size writes need no bookkeeping.
+    t_iter_memo: Option<(PlacementShape, u64, f64)>,
 }
 
 impl SimJob {
@@ -64,6 +76,8 @@ impl SimJob {
             examples_processed: 0.0,
             last_fit_configs: 0,
             last_fit_samples: 0,
+            placed_shape: None,
+            t_iter_memo: None,
         }
     }
 
@@ -115,6 +129,9 @@ impl SimJob {
     }
 
     /// The job's current placement shape, if it holds any GPUs.
+    /// Always recomputed from the placement row (two scans), so it is
+    /// correct however the row was written; the engine's chunk path
+    /// reads a shape cached on the job instead.
     pub fn shape(&self) -> Option<PlacementShape> {
         let gpus: u32 = self.placement.iter().sum();
         if gpus == 0 {
@@ -127,6 +144,50 @@ impl SimJob {
     /// GPUs currently held.
     pub fn gpus(&self) -> u32 {
         self.placement.iter().sum()
+    }
+
+    /// The engine's one writer of the placement row: applies `edit`
+    /// (replace, zero, or resize the row) and refreshes the cached
+    /// shape. Reallocation, finish, preemption, and cluster resize all
+    /// go through here, so the cache is rebuilt only when a placement
+    /// actually changes.
+    pub(crate) fn edit_placement(&mut self, edit: impl FnOnce(&mut Vec<u32>)) {
+        edit(&mut self.placement);
+        self.placed_shape = self.shape();
+    }
+
+    /// The placement shape cached by the last
+    /// [`Self::edit_placement`]: O(1), equal to [`Self::shape`] as
+    /// long as the row is written only through that setter.
+    pub(crate) fn placed_shape(&self) -> Option<PlacementShape> {
+        self.placed_shape
+    }
+
+    /// [`Self::true_t_iter`] at `shape` and the current batch size,
+    /// memoised per `(shape, batch)`: between reallocations and batch
+    /// re-tunes every chunk asks for the same value, and each
+    /// recomputation costs three `powf`s. Bit-identical to the direct
+    /// call (it stores exactly what the direct call returns).
+    pub(crate) fn memo_t_iter(&mut self, shape: PlacementShape) -> f64 {
+        let m = self.batch_size;
+        match self.t_iter_memo {
+            Some((s, b, t)) if s == shape && b == m => t,
+            _ => {
+                let t = self.true_t_iter(shape, m);
+                self.t_iter_memo = Some((shape, m, t));
+                t
+            }
+        }
+    }
+
+    /// Whether the cached shape and the memoised iteration time equal
+    /// a fresh [`Self::shape`] / [`Self::true_t_iter`] (bitwise). The
+    /// engine debug-asserts this every chunk.
+    pub(crate) fn placement_cache_is_coherent(&self) -> bool {
+        let memo_ok = self
+            .t_iter_memo
+            .is_none_or(|(s, m, t)| t.to_bits() == self.true_t_iter(s, m).to_bits());
+        self.placed_shape == self.shape() && memo_ok
     }
 
     /// Normalized training progress in [0, 1].
@@ -262,6 +323,19 @@ mod tests {
             j.true_throughput(shape, 512),
             j.profile.params.throughput(shape, 512)
         );
+    }
+
+    proptest::proptest! {
+        /// At its `m0` every model trains at efficiency exactly 1.0,
+        /// whatever the progress (clamped or not): the identity behind
+        /// the engine's unit-efficiency fast path.
+        #[test]
+        fn efficiency_at_m0_is_exactly_one(kind in 0usize..5, frac in -0.5f64..2.0) {
+            let mut j = sample_job();
+            j.profile = ModelKind::ALL[kind].profile();
+            let (p, m0) = (frac * j.spec.work, j.profile.m0);
+            proptest::prop_assert_eq!(j.true_efficiency_at(p, m0).to_bits(), 1.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use job::{JobLifecycle, JobState, SimJob};
 pub use metrics::{ClusterSample, JobRecord, SchedIntervalSample, SimResult};
 pub use policy::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, NoPreemption, PlacementPolicy, PreemptAll,
-    PreemptionPolicy, StagedScheduler,
+    PreemptionPolicy, RowSink, StagedScheduler,
 };
 pub use policy::{PolicyJobView, SchedulingPolicy};

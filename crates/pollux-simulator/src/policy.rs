@@ -10,6 +10,6 @@
 
 pub use pollux_control::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, NoPreemption, PlacementPolicy, PreemptAll,
-    PreemptionPolicy, StagedScheduler,
+    PreemptionPolicy, RowSink, StagedScheduler,
 };
 pub use pollux_control::{PolicyJobView, SchedulingPolicy};

@@ -178,14 +178,12 @@ fn quiet_config() -> SimConfig {
     }
 }
 
-/// Which engine variant a run goes through. All three must be
+/// Which engine variant a run goes through. Both must be
 /// bit-identical for a fixed seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stepper {
     /// `Simulation::run`: macro-stepped, job-major chunks.
     JobMajor,
-    /// `Simulation::run_tick_major`: macro-stepped, tick-major chunks.
-    TickMajor,
     /// `Simulation::run_reference`: the pre-refactor one-tick loop.
     Reference,
 }
@@ -200,7 +198,6 @@ fn json_of<P: SchedulingPolicy>(
     let sim = Simulation::new(cfg, spec, policy, wl).unwrap();
     let result = match stepper {
         Stepper::JobMajor => sim.run(),
-        Stepper::TickMajor => sim.run_tick_major(),
         Stepper::Reference => sim.run_reference(),
     };
     serde_json::to_string(&result).expect("SimResult serializes")
@@ -296,36 +293,6 @@ fn reference_stepper_matches_goldens() {
     assert_eq!(quiet, GOLDEN_QUIET, "reference drifted: 0x{quiet:016x}");
 }
 
-/// The retained tick-major chunk stepper must also reproduce the
-/// pinned digests: it shares the event-horizon chunking and the
-/// two-phase report round with `run()`, differing only in the inner
-/// chunk loop's layout.
-#[test]
-fn tick_major_stepper_matches_goldens() {
-    let churn = fnv1a64(
-        json_of(
-            churn_config(),
-            ClusterSpec::homogeneous(3, 4).unwrap(),
-            Churn,
-            workload(8, 300.0, 3),
-            Stepper::TickMajor,
-        )
-        .as_bytes(),
-    );
-    assert_eq!(churn, GOLDEN_CHURN, "tick-major drifted: 0x{churn:016x}");
-    let quiet = fnv1a64(
-        json_of(
-            quiet_config(),
-            ClusterSpec::homogeneous(2, 4).unwrap(),
-            FcfsPacked { gpus: 2 },
-            workload(6, 45.0, 11),
-            Stepper::TickMajor,
-        )
-        .as_bytes(),
-    );
-    assert_eq!(quiet, GOLDEN_QUIET, "tick-major drifted: 0x{quiet:016x}");
-}
-
 /// `engine_threads` may only change wall-clock time, never a byte of
 /// the result: the job-major chunk loop and the report round's
 /// refit/tune fan-out both commit in job order regardless of which
@@ -390,6 +357,40 @@ fn mid_chunk_finishes_are_bit_identical_across_steppers() {
                 &format!("work_scale={work_scale} engine_threads={threads}"),
             );
         }
+    }
+}
+
+/// Jobs submitted at their initial batch size `m0` train at efficiency
+/// exactly 1.0, which the engine takes without evaluating φ; the
+/// reference stepper still evaluates it every tick. Half the jobs keep
+/// their tuned (larger) batch, so both paths share every chunk, and
+/// the small work scale forces mid-chunk finishes through the
+/// truncation pre-scan. In release builds, where the fast path's debug
+/// cross-check is compiled out, this comparison is what pins it.
+#[test]
+fn unit_efficiency_jobs_match_reference_stepper() {
+    for work_scale in [0.05f64, 1.0] {
+        let wl: Vec<(JobSpec, UserConfig)> = workload_scaled(6, 120.0, 5, work_scale)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (spec, mut user))| {
+                if i % 2 == 0 {
+                    user.batch_size = spec.kind.profile().m0;
+                }
+                (spec, user)
+            })
+            .collect();
+        let spec = ClusterSpec::homogeneous(3, 4).unwrap();
+        let policy = FcfsPacked { gpus: 2 };
+        let reference = json_of(
+            quiet_config(),
+            spec.clone(),
+            policy,
+            wl.clone(),
+            Stepper::Reference,
+        );
+        let fast = json_of(quiet_config(), spec, policy, wl, Stepper::JobMajor);
+        assert_byte_identical(&fast, &reference, &format!("work_scale={work_scale}"));
     }
 }
 
@@ -491,13 +492,12 @@ fn golden_trajectories_survive_live_telemetry() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-    /// Bitwise equality of the job-major engine, the retained
-    /// tick-major chunk stepper, and the reference tick-stepper on
-    /// random small workloads: varied arrival staggering, cluster
-    /// shapes, interference levels, measurement noise, engine thread
-    /// counts, work scales small enough to force mid-chunk finishes,
-    /// and both churny (restart/preemption/interference-heavy) and
-    /// quiet placement policies.
+    /// Bitwise equality of the job-major engine and the reference
+    /// tick-stepper on random small workloads: varied arrival
+    /// staggering, cluster shapes, interference levels, measurement
+    /// noise, engine thread counts, work scales small enough to force
+    /// mid-chunk finishes, and both churny (restart/preemption/
+    /// interference-heavy) and quiet placement policies.
     #[test]
     fn macro_step_equals_reference_stepper(
         n_jobs in 1usize..6,
@@ -524,12 +524,12 @@ proptest! {
         let spec = ClusterSpec::homogeneous(nodes, gpus).unwrap();
         let wl = workload_scaled(n_jobs, stagger, wl_seed, work_scale);
         let runs: Vec<String> = if churny == 1 {
-            [Stepper::JobMajor, Stepper::TickMajor, Stepper::Reference]
+            [Stepper::JobMajor, Stepper::Reference]
                 .map(|s| json_of(cfg, spec.clone(), Churn, wl.clone(), s))
                 .into_iter()
                 .collect()
         } else {
-            [Stepper::JobMajor, Stepper::TickMajor, Stepper::Reference]
+            [Stepper::JobMajor, Stepper::Reference]
                 .map(|s| json_of(cfg, spec.clone(), FcfsPacked { gpus: 2 }, wl.clone(), s))
                 .into_iter()
                 .collect()
@@ -540,7 +540,6 @@ proptest! {
              hours={hours:.2} churny={churny} engine_threads={engine_threads} \
              work_scale={work_scale:.3}"
         );
-        assert_byte_identical(&runs[0], &runs[2], &format!("job-major vs reference: {label}"));
-        assert_byte_identical(&runs[1], &runs[2], &format!("tick-major vs reference: {label}"));
+        assert_byte_identical(&runs[0], &runs[1], &format!("job-major vs reference: {label}"));
     }
 }
